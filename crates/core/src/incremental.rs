@@ -9,7 +9,7 @@
 //!   diffs against a cached violation vector. O(relation) per edit, but
 //!   trivially correct; the property suite pins the delta engine to it.
 //! - [`DeltaEngine`] — the production engine: per-PFD *group indexes* keyed
-//!   by LHS tableau-match signature (one [`PostingList`] row set per group),
+//!   by LHS key ids (one [`PostingList`] row set per group),
 //!   so an edit re-evaluates only the rows in the touched group(s) and
 //!   violation deltas fall out of group membership changes. O(group) per
 //!   edit instead of O(relation).
@@ -33,10 +33,11 @@
 //! canonically (PFD index, tableau row, kind, attribute, rows), so deltas
 //! compare with `==`.
 
+use crate::keymemo::KeyMemo;
 use crate::pfd::{Pfd, Violation, ViolationKind};
+use crate::tableau::TableauRow;
 use pfd_relation::{AttrId, PostingList, Relation, RelationError, RowId, SchemaError};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// One relation mutation, the unit of the incremental engines' input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -380,16 +381,62 @@ struct Group {
     violations: Vec<Violation>,
 }
 
-/// The group index of one tableau row: LHS-key → group, plus the reverse
-/// map row → key so membership updates are O(1) lookups.
+/// The group index of one tableau row: LHS key-id tuple → group, plus the
+/// tableau row's key memo. A relation row's current group is recomputed
+/// from its cells through the memo (an array lookup per LHS cell), so no
+/// row → key map is kept.
 #[derive(Debug, Clone)]
 struct TableauIndex {
-    groups: HashMap<Arc<Vec<String>>, Group>,
-    /// `row_key[rid]` is the LHS key of relation row `rid` under this
-    /// tableau row, `None` when the row does not match the LHS patterns.
-    /// Keys are shared with the `groups` map (`Arc`), so pointing many rows
-    /// at one group costs a refcount, not a string clone.
-    row_key: Vec<Option<Arc<Vec<String>>>>,
+    memo: KeyMemo,
+    groups: HashMap<Box<[u32]>, Group>,
+}
+
+impl TableauIndex {
+    /// Add `rid` to the group keyed `key`, creating the group if needed.
+    fn join(&mut self, key: &[u32], rid: RowId, universe: usize) {
+        match self.groups.get_mut(key) {
+            Some(g) => {
+                g.rows.insert(rid);
+            }
+            None => {
+                let mut rows = PostingList::empty(universe);
+                rows.insert(rid);
+                self.groups.insert(
+                    key.into(),
+                    Group {
+                        rows,
+                        violations: Vec::new(),
+                    },
+                );
+            }
+        }
+    }
+
+    /// The LHS key-id tuple of relation row `rid` into `out`; `false` when
+    /// the row does not match this tableau row's LHS. `replaced` reads an
+    /// overwritten attribute's old symbol (see `SideMemo::key`).
+    fn lhs_key(
+        &mut self,
+        pfd: &Pfd,
+        trow: &TableauRow,
+        rel: &Relation,
+        rid: RowId,
+        replaced: Option<(AttrId, u32)>,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        out.clear();
+        self.memo
+            .lhs
+            .key(pfd.lhs(), &trow.lhs, rel, rid, replaced, out)
+            .is_ok()
+    }
+
+    /// Remove `rid` from the group keyed `key`.
+    fn leave(&mut self, key: &[u32], rid: RowId) {
+        if let Some(g) = self.groups.get_mut(key) {
+            g.rows.remove(rid);
+        }
+    }
 }
 
 /// Group indexes for one PFD, one [`TableauIndex`] per tableau row.
@@ -404,7 +451,7 @@ struct PfdIndex {
 /// private group structures.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupSnapshot {
-    /// The LHS key shared by every member row.
+    /// The LHS key strings shared by every member row.
     pub(crate) key: Vec<String>,
     /// Sorted member rows.
     pub(crate) rows: PostingList,
@@ -414,11 +461,12 @@ pub(crate) struct GroupSnapshot {
 
 /// Incremental violation maintenance with per-PFD group indexes.
 ///
-/// Construction groups every relation row by its LHS tableau-match
-/// signature and caches per-group violations. An edit then:
+/// Construction groups every relation row by its LHS key-id tuple (see
+/// the key memo in `keymemo.rs`) and caches per-group violations. An edit
+/// then:
 ///
 /// 1. updates group *membership* for PFDs whose LHS mentions the edited
-///    attribute (the reverse map makes the old group an O(1) lookup);
+///    attribute (old and new key come from the memo);
 /// 2. marks the touched group(s) dirty — the old and new group of a moved
 ///    row, or the row's current group for an RHS change;
 /// 3. re-evaluates only the dirty groups, diffing each group's fresh
@@ -450,36 +498,29 @@ impl DeltaEngine {
     }
 
     fn build_index(rel: &Relation, pfd: &Pfd) -> PfdIndex {
+        let universe = rel.num_rows();
         let tableaux = pfd
             .tableau()
             .iter()
             .enumerate()
             .map(|(ti, trow)| {
-                let mut row_key: Vec<Option<Arc<Vec<String>>>> = Vec::with_capacity(rel.num_rows());
-                let mut members: HashMap<Arc<Vec<String>>, Vec<u32>> = HashMap::new();
-                for (rid, _) in rel.iter_rows() {
-                    let key = pfd.lhs_key(rel, rid, trow).map(Arc::new);
-                    if let Some(k) = &key {
-                        members.entry(Arc::clone(k)).or_default().push(rid as u32);
-                    }
-                    row_key.push(key);
+                let mut memo = KeyMemo::new(trow);
+                let buckets = memo.lhs.group(pfd.lhs(), &trow.lhs, rel, 0..universe);
+                let mut groups = HashMap::with_capacity(buckets.len());
+                for b in 0..buckets.len() {
+                    let rows = buckets.rows(b);
+                    let mut violations = Vec::new();
+                    pfd.violations_of_group(rel, ti, trow, rows, &mut memo.rhs, &mut violations);
+                    let ids = rows.iter().map(|&r| r as u32).collect();
+                    groups.insert(
+                        buckets.key(b).into(),
+                        Group {
+                            rows: PostingList::from_sorted(ids, universe),
+                            violations,
+                        },
+                    );
                 }
-                let groups = members
-                    .into_iter()
-                    .map(|(key, ids)| {
-                        let rows: Vec<RowId> = ids.iter().map(|&i| i as RowId).collect();
-                        let mut violations = Vec::new();
-                        pfd.violations_of_group(rel, ti, trow, &rows, &mut violations);
-                        (
-                            key,
-                            Group {
-                                rows: PostingList::from_sorted(ids, rel.num_rows()),
-                                violations,
-                            },
-                        )
-                    })
-                    .collect();
-                TableauIndex { groups, row_key }
+                TableauIndex { memo, groups }
             })
             .collect();
         PfdIndex { tableaux }
@@ -487,7 +528,8 @@ impl DeltaEngine {
 
     /// Export the group indexes for snapshot serialization:
     /// `out[pfd][tableau_row]` is that tableau row's groups, sorted by LHS
-    /// key so the export (and hence the snapshot bytes) is deterministic.
+    /// key strings so the export (and hence the snapshot bytes) is
+    /// deterministic.
     ///
     /// Live groups keep the row universe they were created over, which goes
     /// stale as inserts grow the relation; the export normalizes every
@@ -506,7 +548,7 @@ impl DeltaEngine {
                             .groups
                             .iter()
                             .map(|(key, group)| GroupSnapshot {
-                                key: key.as_ref().clone(),
+                                key: tindex.memo.lhs.strings(key),
                                 rows: PostingList::from_sorted(
                                     group.rows.iter().collect(),
                                     universe,
@@ -524,54 +566,40 @@ impl DeltaEngine {
 
     /// Rebuild an engine from snapshot parts without re-grouping the
     /// relation: `groups[pfd][tableau_row]` as produced by
-    /// [`export_groups`](DeltaEngine::export_groups). The reverse row → key
-    /// maps are reconstructed from group membership.
+    /// [`export_groups`](DeltaEngine::export_groups). Group keys are
+    /// interned into fresh memos from their stored strings; no pattern is
+    /// evaluated until an edit needs a row's key.
     pub(crate) fn from_parts(
         rel: Relation,
         pfds: Vec<Pfd>,
         groups: Vec<Vec<Vec<GroupSnapshot>>>,
     ) -> DeltaEngine {
-        // Each tableau's index is independent (its own group map and
-        // row → key vector), so rebuild them in parallel: flatten to a task
-        // list, fan out in order-preserving chunks, then re-nest per PFD.
-        let num_rows = rel.num_rows();
-        let shape: Vec<usize> = groups.iter().map(|tableaux| tableaux.len()).collect();
-        let tasks: Vec<Vec<GroupSnapshot>> = groups.into_iter().flatten().collect();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
-        let chunk = tasks.len().div_ceil(threads.max(1)).max(1);
-        let mut chunked: Vec<Vec<Vec<GroupSnapshot>>> = Vec::new();
-        let mut it = tasks.into_iter();
-        loop {
-            let c: Vec<Vec<GroupSnapshot>> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            chunked.push(c);
-        }
-        let mut built: Vec<TableauIndex> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunked
-                .into_iter()
-                .map(|c| {
-                    scope.spawn(move || {
-                        c.into_iter()
-                            .map(|snapshots| Self::rebuild_tableau_index(snapshots, num_rows))
-                            .collect::<Vec<TableauIndex>>()
+        let index = pfds
+            .iter()
+            .zip(groups)
+            .map(|(pfd, tableaux)| PfdIndex {
+                tableaux: pfd
+                    .tableau()
+                    .iter()
+                    .zip(tableaux)
+                    .map(|(trow, snapshots)| {
+                        let mut memo = KeyMemo::new(trow);
+                        let mut key = Vec::with_capacity(trow.lhs.len());
+                        let mut groups = HashMap::with_capacity(snapshots.len());
+                        for snap in snapshots {
+                            key.clear();
+                            memo.lhs.intern(&snap.key, &mut key);
+                            groups.insert(
+                                key.as_slice().into(),
+                                Group {
+                                    rows: snap.rows,
+                                    violations: snap.violations,
+                                },
+                            );
+                        }
+                        TableauIndex { memo, groups }
                     })
-                })
-                .collect();
-            for h in handles {
-                built.extend(h.join().expect("tableau index rebuild panicked"));
-            }
-        });
-        let mut built = built.into_iter();
-        let index = shape
-            .into_iter()
-            .map(|n| PfdIndex {
-                tableaux: built.by_ref().take(n).collect(),
+                    .collect(),
             })
             .collect();
         DeltaEngine {
@@ -579,30 +607,6 @@ impl DeltaEngine {
             pfds,
             index,
             scratch: Vec::new(),
-        }
-    }
-
-    /// Rebuild one tableau's index from its exported groups, reconstructing
-    /// the reverse row → key map from group membership.
-    fn rebuild_tableau_index(snapshots: Vec<GroupSnapshot>, num_rows: usize) -> TableauIndex {
-        let mut row_key: Vec<Option<Arc<Vec<String>>>> = vec![None; num_rows];
-        let mut map = HashMap::with_capacity(snapshots.len());
-        for snap in snapshots {
-            let key = Arc::new(snap.key);
-            for rid in snap.rows.iter() {
-                row_key[rid as usize] = Some(Arc::clone(&key));
-            }
-            map.insert(
-                key,
-                Group {
-                    rows: snap.rows,
-                    violations: snap.violations,
-                },
-            );
-        }
-        TableauIndex {
-            groups: map,
-            row_key,
         }
     }
 
@@ -684,16 +688,20 @@ impl DeltaEngine {
     /// and coalesced — a group touched by ten edits is re-evaluated once.
     pub fn apply_batch(&mut self, edits: &[Edit]) -> Result<ViolationDelta, RelationError> {
         validate_batch(&self.rel, edits)?;
-        // Dirty groups, identified by (pfd, tableau row, LHS key). Keys are
-        // value-based, so they survive row renumbering inside the batch.
-        let mut dirty: BTreeSet<(usize, usize, Arc<Vec<String>>)> = BTreeSet::new();
+        // Dirty groups, identified by (pfd, tableau row, LHS key ids). Key
+        // ids are value-based and stable, so they survive row renumbering
+        // and new vocabulary inside the batch.
+        let mut dirty: BTreeSet<(usize, usize, Box<[u32]>)> = BTreeSet::new();
         let mut drained: Vec<DeltaEntry> = Vec::new();
+        let (mut old_key, mut new_key) = (Vec::new(), Vec::new());
 
         for edit in edits {
             match edit {
                 Edit::Set { row, attr, value } => {
+                    let row = *row;
+                    let old_sym = self.rel.column_parts(*attr).1[row];
                     self.rel
-                        .set_cell(*row, *attr, value.clone())
+                        .set_cell(row, *attr, value.clone())
                         .expect("validated");
                     let universe = self.rel.num_rows();
                     for (pi, pfd) in self.pfds.iter().enumerate() {
@@ -704,37 +712,33 @@ impl DeltaEngine {
                         }
                         for (ti, trow) in pfd.tableau().iter().enumerate() {
                             let tindex = &mut self.index[pi].tableaux[ti];
+                            let new = tindex.lhs_key(pfd, trow, &self.rel, row, None, &mut new_key);
                             if in_lhs {
-                                let new_key = pfd.lhs_key(&self.rel, *row, trow);
-                                if new_key.as_ref() != tindex.row_key[*row].as_deref() {
-                                    if let Some(old) = tindex.row_key[*row].take() {
-                                        if let Some(g) = tindex.groups.get_mut(&old) {
-                                            g.rows.remove(*row);
-                                        }
-                                        dirty.insert((pi, ti, old));
+                                let replaced = Some((*attr, old_sym));
+                                let old = tindex.lhs_key(
+                                    pfd,
+                                    trow,
+                                    &self.rel,
+                                    row,
+                                    replaced,
+                                    &mut old_key,
+                                );
+                                if (old, &old_key) != (new, &new_key) {
+                                    if old {
+                                        tindex.leave(&old_key, row);
+                                        dirty.insert((pi, ti, old_key.as_slice().into()));
                                     }
-                                    let new_key = new_key.map(Arc::new);
-                                    if let Some(new) = &new_key {
-                                        let g = tindex
-                                            .groups
-                                            .entry(Arc::clone(new))
-                                            .or_insert_with(|| Group {
-                                                rows: PostingList::empty(universe),
-                                                violations: Vec::new(),
-                                            });
-                                        g.rows.insert(*row);
-                                        dirty.insert((pi, ti, Arc::clone(new)));
+                                    if new {
+                                        tindex.join(&new_key, row, universe);
+                                        dirty.insert((pi, ti, new_key.as_slice().into()));
                                     }
-                                    tindex.row_key[*row] = new_key;
                                     // Both affected groups are dirty; an RHS
                                     // overlap is covered by the new group.
                                     continue;
                                 }
                             }
-                            if in_rhs {
-                                if let Some(key) = &tindex.row_key[*row] {
-                                    dirty.insert((pi, ti, Arc::clone(key)));
-                                }
+                            if in_rhs && new {
+                                dirty.insert((pi, ti, new_key.as_slice().into()));
                             }
                         }
                     }
@@ -746,30 +750,22 @@ impl DeltaEngine {
                     for (pi, pfd) in self.pfds.iter().enumerate() {
                         for (ti, trow) in pfd.tableau().iter().enumerate() {
                             let tindex = &mut self.index[pi].tableaux[ti];
-                            let key = pfd.lhs_key(&self.rel, rid, trow).map(Arc::new);
-                            if let Some(k) = &key {
-                                let g =
-                                    tindex.groups.entry(Arc::clone(k)).or_insert_with(|| Group {
-                                        rows: PostingList::empty(universe),
-                                        violations: Vec::new(),
-                                    });
-                                g.rows.insert(rid);
-                                dirty.insert((pi, ti, Arc::clone(k)));
+                            if tindex.lhs_key(pfd, trow, &self.rel, rid, None, &mut new_key) {
+                                tindex.join(&new_key, rid, universe);
+                                dirty.insert((pi, ti, new_key.as_slice().into()));
                             }
-                            tindex.row_key.push(key);
                         }
                     }
                 }
                 Edit::Delete { row } => {
                     let row = *row;
                     // Detach the row from its current group(s).
-                    for (pi, pindex) in self.index.iter_mut().enumerate() {
-                        for (ti, tindex) in pindex.tableaux.iter_mut().enumerate() {
-                            if let Some(key) = tindex.row_key[row].take() {
-                                if let Some(g) = tindex.groups.get_mut(&key) {
-                                    g.rows.remove(row);
-                                }
-                                dirty.insert((pi, ti, key));
+                    for (pi, pfd) in self.pfds.iter().enumerate() {
+                        for (ti, trow) in pfd.tableau().iter().enumerate() {
+                            let tindex = &mut self.index[pi].tableaux[ti];
+                            if tindex.lhs_key(pfd, trow, &self.rel, row, None, &mut old_key) {
+                                tindex.leave(&old_key, row);
+                                dirty.insert((pi, ti, old_key.as_slice().into()));
                             }
                         }
                     }
@@ -796,7 +792,6 @@ impl DeltaEngine {
                     // Renumber every surviving structure past the hole.
                     for pindex in &mut self.index {
                         for tindex in &mut pindex.tableaux {
-                            tindex.row_key.remove(row);
                             for g in tindex.groups.values_mut() {
                                 if g.rows.max().is_some_and(|m| m as RowId > row) {
                                     g.rows.renumber_after_delete(row);
@@ -819,14 +814,14 @@ impl DeltaEngine {
         for (pi, ti, key) in &dirty {
             let pfd = &self.pfds[*pi];
             let trow = &pfd.tableau()[*ti];
-            let tindex = &mut self.index[*pi].tableaux[*ti];
-            let Some(group) = tindex.groups.get_mut(key) else {
+            let TableauIndex { memo, groups } = &mut self.index[*pi].tableaux[*ti];
+            let Some(group) = groups.get_mut(key) else {
                 continue;
             };
             scratch.clear();
             if !group.rows.is_empty() {
                 let ids: Vec<RowId> = group.rows.iter().map(|i| i as RowId).collect();
-                pfd.violations_of_group(&self.rel, *ti, trow, &ids, &mut scratch);
+                pfd.violations_of_group(&self.rel, *ti, trow, &ids, &mut memo.rhs, &mut scratch);
             }
             for v in &scratch {
                 if !group.violations.contains(v) {
@@ -845,7 +840,7 @@ impl DeltaEngine {
                 }
             }
             if group.rows.is_empty() {
-                tindex.groups.remove(key);
+                groups.remove(key);
             } else {
                 group.violations.clear();
                 group.violations.append(&mut scratch);

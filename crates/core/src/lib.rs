@@ -38,6 +38,7 @@
 
 pub mod detect;
 pub mod incremental;
+mod keymemo;
 pub mod pfd;
 pub mod repair;
 pub mod rules;

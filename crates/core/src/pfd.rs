@@ -1,9 +1,10 @@
 //! Pattern functional dependencies: the `Pfd` type and its satisfaction
 //! semantics (§2.1–2.2).
 
+use crate::keymemo::{Buckets, KeyMemo, SideMemo};
 use crate::tableau::{TableauCell, TableauRow};
 use pfd_relation::{AttrId, Relation, RowId, Schema, SchemaError};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Result of a one-pass [`Pfd::audit`] over a relation.
@@ -394,44 +395,21 @@ impl Pfd {
     /// (the *support* of that pattern row, §4.2 restriction iii).
     pub fn support(&self, rel: &Relation, row_idx: usize) -> usize {
         let row = &self.tableau[row_idx];
-        rel.iter_rows()
-            .filter(|(rid, _)| self.lhs_matches(rel, *rid, row))
-            .count()
+        self.lhs_groups(rel, row, &mut KeyMemo::new(row).lhs)
+            .all_rows()
+            .len()
     }
 
     /// Number of relation rows matching *any* tableau row's LHS (the
     /// *coverage* of the PFD, §4.2 restriction ii).
     pub fn coverage(&self, rel: &Relation) -> usize {
-        rel.iter_rows()
-            .filter(|(rid, _)| {
-                self.tableau
-                    .iter()
-                    .any(|row| self.lhs_matches(rel, *rid, row))
-            })
-            .count()
+        self.audit(rel).coverage
     }
 
-    fn lhs_matches(&self, rel: &Relation, rid: RowId, row: &TableauRow) -> bool {
-        self.lhs
-            .iter()
-            .zip(&row.lhs)
-            .all(|(a, cell)| cell.matches(rel.cell(rid, *a)))
-    }
-
-    /// The LHS equivalence key of a relation row under a tableau row, or
-    /// `None` if some LHS cell does not match. Crate-visible so the
-    /// incremental group indexes can maintain key → row-set maps.
-    pub(crate) fn lhs_key(
-        &self,
-        rel: &Relation,
-        rid: RowId,
-        row: &TableauRow,
-    ) -> Option<Vec<String>> {
-        self.lhs
-            .iter()
-            .zip(&row.lhs)
-            .map(|(a, cell)| cell.key(rel.cell(rid, *a)).map(str::to_string))
-            .collect()
+    /// The LHS groups of tableau row `row` over every relation row, in
+    /// key-id order (see [`crate::keymemo`]).
+    fn lhs_groups(&self, rel: &Relation, row: &TableauRow, memo: &mut SideMemo) -> Buckets {
+        memo.group(&self.lhs, &row.lhs, rel, 0..rel.num_rows())
     }
 
     /// One-pass audit of this PFD over a relation: coverage, LHS-key
@@ -455,65 +433,21 @@ impl Pfd {
         let mut paired = vec![false; rel.num_rows()];
         let mut suspects: BTreeSet<RowId> = BTreeSet::new();
         for row in &self.tableau {
-            let mut groups: BTreeMap<Vec<String>, Vec<RowId>> = BTreeMap::new();
-            for (rid, _) in rel.iter_rows() {
-                if let Some(key) = self.lhs_key(rel, rid, row) {
-                    groups.entry(key).or_default().push(rid);
-                }
-            }
-            for rows in groups.values() {
+            let mut memo = KeyMemo::new(row);
+            let groups = self.lhs_groups(rel, row, &mut memo.lhs);
+            for g in 0..groups.len() {
+                let rows = groups.rows(g);
                 for &rid in rows {
                     covered[rid] = true;
-                }
-                if rows.len() >= 2 {
-                    for &rid in rows {
+                    if rows.len() >= 2 {
                         paired[rid] = true;
                     }
                 }
-                // Single-tuple RHS pattern checks.
-                let mut rhs_ok: Vec<RowId> = Vec::with_capacity(rows.len());
-                for &rid in rows {
-                    let fails = self
-                        .rhs
-                        .iter()
-                        .zip(&row.rhs)
-                        .any(|(b, cell)| !cell.matches(rel.cell(rid, *b)));
-                    if fails {
-                        suspects.insert(rid);
-                    } else {
-                        rhs_ok.push(rid);
-                    }
-                }
-                // Pair semantics: partition by RHS key; every row outside
-                // the majority partition is a suspect.
-                if rhs_ok.len() < 2 {
-                    continue;
-                }
-                let mut partitions: BTreeMap<Vec<String>, Vec<RowId>> = BTreeMap::new();
-                for &rid in &rhs_ok {
-                    let key: Vec<String> = self
-                        .rhs
-                        .iter()
-                        .zip(&row.rhs)
-                        .map(|(b, cell)| {
-                            cell.key(rel.cell(rid, *b))
-                                .expect("matched above")
-                                .to_string()
-                        })
-                        .collect();
-                    partitions.entry(key).or_default().push(rid);
-                }
-                if partitions.len() <= 1 {
-                    continue;
-                }
-                let (majority_key, _) = partitions
-                    .iter()
-                    .max_by_key(|(key, rows)| (rows.len(), std::cmp::Reverse((*key).clone())))
-                    .expect("non-empty");
-                let majority_key = majority_key.clone();
-                for (key, rows) in &partitions {
-                    if *key != majority_key {
-                        suspects.extend(rows.iter().copied());
+                let split = self.rhs_split(rel, row, rows, &mut memo.rhs);
+                suspects.extend(split.failures.iter().map(|&(rid, _)| rid));
+                if let Some(p) = &split.partitions {
+                    for b in (0..p.buckets.len()).filter(|&b| b != p.majority) {
+                        suspects.extend(p.buckets.rows(b).iter().copied());
                     }
                 }
             }
@@ -528,7 +462,8 @@ impl Pfd {
     /// All violations of this PFD on `rel` (§2.2 semantics).
     ///
     /// For each tableau row, relation rows matching all LHS cells are
-    /// grouped by their LHS equivalence keys. Within a group:
+    /// grouped by their LHS equivalence keys, and groups are visited in
+    /// ascending order of their key strings. Within a group:
     ///
     /// - a row failing an RHS pattern *match* yields a [`ViolationKind::SingleTuple`]
     ///   violation (the `t1 = t2` degenerate pair);
@@ -540,44 +475,68 @@ impl Pfd {
     pub fn violations(&self, rel: &Relation) -> Vec<Violation> {
         let mut out = Vec::new();
         for (ti, row) in self.tableau.iter().enumerate() {
-            self.violations_of_row(rel, ti, row, &mut out, None);
+            let mut memo = KeyMemo::new(row);
+            let groups = self.lhs_groups(rel, row, &mut memo.lhs);
+            for g in memo.lhs.string_order(&groups) {
+                self.violations_of_group(rel, ti, row, groups.rows(g), &mut memo.rhs, &mut out);
+            }
         }
         out
     }
 
-    /// Early-exit satisfaction check: `T ⊨ ψ`.
+    /// Satisfaction check: `T ⊨ ψ`. Stops at the first LHS group with an
+    /// RHS mismatch or a second RHS partition, materializing no violation.
     pub fn satisfies(&self, rel: &Relation) -> bool {
-        let mut out = Vec::new();
-        for (ti, row) in self.tableau.iter().enumerate() {
-            self.violations_of_row(rel, ti, row, &mut out, Some(1));
-            if !out.is_empty() {
-                return false;
-            }
-        }
-        true
+        self.tableau.iter().all(|row| {
+            let mut memo = KeyMemo::new(row);
+            let groups = self.lhs_groups(rel, row, &mut memo.lhs);
+            (0..groups.len()).all(|g| {
+                let split = self.rhs_split(rel, row, groups.rows(g), &mut memo.rhs);
+                split.failures.is_empty() && split.partitions.is_none()
+            })
+        })
     }
 
-    fn violations_of_row(
+    /// The RHS decision of one LHS group: which rows fail an RHS cell, and
+    /// how the rest partition by RHS key.
+    fn rhs_split(
         &self,
         rel: &Relation,
-        ti: usize,
         row: &TableauRow,
-        out: &mut Vec<Violation>,
-        limit: Option<usize>,
-    ) {
-        // Group matching rows by LHS key.
-        let mut groups: BTreeMap<Vec<String>, Vec<RowId>> = BTreeMap::new();
-        for (rid, _) in rel.iter_rows() {
-            if let Some(key) = self.lhs_key(rel, rid, row) {
-                groups.entry(key).or_default().push(rid);
+        rows: &[RowId],
+        memo: &mut SideMemo,
+    ) -> RhsSplit {
+        let mut failures = Vec::new();
+        let mut ok = Vec::with_capacity(rows.len());
+        let mut keys = Vec::with_capacity(rows.len() * self.rhs.len());
+        for &rid in rows {
+            match memo.key(&self.rhs, &row.rhs, rel, rid, None, &mut keys) {
+                Ok(()) => ok.push(rid),
+                Err(j) => failures.push((rid, self.rhs[j])),
             }
         }
-
-        for rows in groups.values() {
-            self.violations_of_group_limited(rel, ti, row, rows, out, limit);
-            if limit.is_some_and(|l| out.len() >= l) {
-                return;
+        let ok_count = ok.len();
+        let buckets = memo.bucket(ok, &keys);
+        let partitions = (buckets.len() > 1).then(|| {
+            let order = memo.string_order(&buckets);
+            // Majority: the largest partition, ties to the smallest key
+            // string — `max_by_key((len, Reverse(key)))` over the key
+            // strings. `min_by_key` keeps the first of equal minima, and
+            // `order` ascends by key string.
+            let majority = *order
+                .iter()
+                .min_by_key(|&&b| std::cmp::Reverse(buckets.rows(b).len()))
+                .expect("two or more partitions");
+            Partitions {
+                buckets,
+                order,
+                majority,
             }
+        });
+        RhsSplit {
+            failures,
+            ok_count,
+            partitions,
         }
     }
 
@@ -587,120 +546,57 @@ impl Pfd {
     /// order [`Pfd::violations`] materializes groups in); the produced
     /// violations depend only on the group's membership and cell values, so
     /// an incremental checker re-running just the touched groups emits
-    /// byte-identical violations to a full recompute.
+    /// byte-identical violations to a full recompute. `memo` is the RHS
+    /// memo of tableau row `ti`.
     pub(crate) fn violations_of_group(
         &self,
         rel: &Relation,
         ti: usize,
         row: &TableauRow,
         rows: &[RowId],
+        memo: &mut SideMemo,
         out: &mut Vec<Violation>,
     ) {
-        self.violations_of_group_limited(rel, ti, row, rows, out, None);
-    }
-
-    /// [`Pfd::violations_of_group`] with [`Pfd::satisfies`]'s early exit:
-    /// stop materializing violations once `out` reaches `limit`.
-    fn violations_of_group_limited(
-        &self,
-        rel: &Relation,
-        ti: usize,
-        row: &TableauRow,
-        rows: &[RowId],
-        out: &mut Vec<Violation>,
-        limit: Option<usize>,
-    ) {
-        let at_limit = |out: &Vec<Violation>| limit.is_some_and(|l| out.len() >= l);
         let group_size = rows.len() as u32;
-        let single_tuple = |rid: RowId, b: AttrId, majority_size: u32| {
+        let split = self.rhs_split(rel, row, rows, memo);
+
+        // Single-tuple RHS pattern checks. Every violation carries the
+        // group statistics (group size and the count of RHS-conforming
+        // rows) that repair scoring needs.
+        for &(rid, b) in &split.failures {
             let mut cells: Vec<(RowId, AttrId)> = self.lhs.iter().map(|a| (rid, *a)).collect();
             cells.push((rid, b));
-            Violation {
+            out.push(Violation {
                 tableau_row: ti,
                 kind: ViolationKind::SingleTuple,
                 attr: b,
                 rows: vec![rid],
                 cells,
                 group_size,
-                majority_size,
-            }
+                majority_size: split.ok_count as u32,
+            });
+        }
+
+        // Pair semantics: the majority partition is the reference; every
+        // other row pairs with its representative.
+        let Some(p) = &split.partitions else {
+            return;
         };
-
-        // Single-tuple RHS pattern checks: classify the whole group first so
-        // every emitted violation can carry the group statistics (group size
-        // and the count of RHS-conforming rows) that repair scoring needs.
-        // Under a `limit`, emit during the scan instead — limited callers
-        // ([`Pfd::satisfies`]) only test emptiness and must keep their early
-        // exit, so those violations carry a zeroed majority count.
-        let mut rhs_ok: Vec<RowId> = Vec::with_capacity(rows.len());
-        let mut failures: Vec<(RowId, AttrId)> = Vec::new();
-        for &rid in rows {
-            let mut failed = None;
-            for (j, b) in self.rhs.iter().enumerate() {
-                if !row.rhs[j].matches(rel.cell(rid, *b)) {
-                    failed = Some(*b);
-                    break;
-                }
-            }
-            match failed {
-                Some(b) if limit.is_some() => {
-                    out.push(single_tuple(rid, b, 0));
-                    if at_limit(out) {
-                        return;
-                    }
-                }
-                Some(b) => failures.push((rid, b)),
-                None => rhs_ok.push(rid),
-            }
-        }
-        let ok_count = rhs_ok.len() as u32;
-        for (rid, b) in failures {
-            out.push(single_tuple(rid, b, ok_count));
-        }
-
-        // Pair semantics: partition by RHS key.
-        if rhs_ok.len() < 2 {
-            return;
-        }
-        let mut partitions: BTreeMap<Vec<String>, Vec<RowId>> = BTreeMap::new();
-        for &rid in &rhs_ok {
-            let key: Vec<String> = self
-                .rhs
-                .iter()
-                .zip(&row.rhs)
-                .map(|(b, cell)| {
-                    cell.key(rel.cell(rid, *b))
-                        .expect("matched above")
-                        .to_string()
-                })
-                .collect();
-            partitions.entry(key).or_default().push(rid);
-        }
-        if partitions.len() <= 1 {
-            return;
-        }
-        // Majority partition is the reference; every other row pairs
-        // with its representative.
-        let (_, majority) = partitions
-            .iter()
-            .max_by_key(|(key, rows)| (rows.len(), std::cmp::Reverse((*key).clone())))
-            .expect("non-empty");
+        let majority = p.buckets.rows(p.majority);
+        let majority_key = p.buckets.key(p.majority);
         let rep = majority[0];
-        let majority_rows: Vec<RowId> = majority.clone();
-        let majority_size = majority_rows.len() as u32;
-        for (key, rows) in &partitions {
-            if rows == &majority_rows {
-                continue;
-            }
-            for &rid in rows {
-                // First differing RHS attribute against the majority key.
-                let attr = self
-                    .rhs
-                    .iter()
-                    .zip(&row.rhs)
-                    .find(|(b, cell)| cell.key(rel.cell(rep, **b)) != cell.key(rel.cell(rid, **b)))
-                    .map(|(b, _)| *b)
-                    .unwrap_or(self.rhs[0]);
+        let majority_size = majority.len() as u32;
+        for &b in p.order.iter().filter(|&&b| b != p.majority) {
+            // First differing RHS attribute against the majority key.
+            let j = p
+                .buckets
+                .key(b)
+                .iter()
+                .zip(majority_key)
+                .position(|(x, y)| x != y)
+                .expect("distinct partitions differ in some RHS key");
+            let attr = self.rhs[j];
+            for &rid in p.buckets.rows(b) {
                 let mut cells: Vec<(RowId, AttrId)> = Vec::new();
                 for r in [rep, rid] {
                     cells.extend(self.lhs.iter().map(|a| (r, *a)));
@@ -715,13 +611,30 @@ impl Pfd {
                     group_size,
                     majority_size,
                 });
-                if at_limit(out) {
-                    return;
-                }
             }
-            let _ = key;
         }
     }
+}
+
+/// The RHS decision of one LHS group ([`Pfd::rhs_split`]).
+struct RhsSplit {
+    /// Rows failing an RHS cell, ascending, with the first failing
+    /// attribute.
+    failures: Vec<(RowId, AttrId)>,
+    /// Number of rows matching every RHS cell.
+    ok_count: usize,
+    /// The RHS-key partitions of the matching rows, when there are two or
+    /// more (fewer cannot violate the pair semantics).
+    partitions: Option<Partitions>,
+}
+
+/// Two or more RHS-key partitions of one LHS group.
+struct Partitions {
+    buckets: Buckets,
+    /// Bucket indexes in ascending order of key strings.
+    order: Vec<usize>,
+    /// Bucket index of the majority partition.
+    majority: usize,
 }
 
 impl fmt::Display for Pfd {
@@ -980,7 +893,33 @@ mod tests {
         ];
         for (rel, pfd) in &cases {
             let audit = pfd.audit(rel);
-            assert_eq!(audit.coverage, pfd.coverage(rel), "{pfd}");
+            // String-keyed reference grouping: LHS key per row, per tableau
+            // row.
+            let mut covered: BTreeSet<RowId> = BTreeSet::new();
+            let mut paired: BTreeSet<RowId> = BTreeSet::new();
+            for row in pfd.tableau() {
+                let mut groups: std::collections::BTreeMap<Vec<String>, Vec<RowId>> =
+                    std::collections::BTreeMap::new();
+                for (rid, _) in rel.iter_rows() {
+                    let key: Option<Vec<String>> = pfd
+                        .lhs()
+                        .iter()
+                        .zip(&row.lhs)
+                        .map(|(a, cell)| cell.key(rel.cell(rid, *a)).map(str::to_string))
+                        .collect();
+                    if let Some(key) = key {
+                        groups.entry(key).or_default().push(rid);
+                    }
+                }
+                for rows in groups.values() {
+                    covered.extend(rows.iter().copied());
+                    if rows.len() >= 2 {
+                        paired.extend(rows.iter().copied());
+                    }
+                }
+            }
+            assert_eq!(audit.coverage, covered.len(), "{pfd}");
+            assert_eq!(pfd.coverage(rel), covered.len(), "{pfd}");
             let suspects: BTreeSet<RowId> = pfd
                 .violations(rel)
                 .iter()
@@ -989,18 +928,6 @@ mod tests {
             assert_eq!(audit.suspect_rows, suspects, "{pfd}");
             // paired_rows: rows sharing an LHS key with another row under
             // some tableau row (deduplicated across tableau rows).
-            let mut paired: BTreeSet<RowId> = BTreeSet::new();
-            for row in pfd.tableau() {
-                let mut groups: BTreeMap<Vec<String>, Vec<RowId>> = BTreeMap::new();
-                for (rid, _) in rel.iter_rows() {
-                    if let Some(key) = pfd.lhs_key(rel, rid, row) {
-                        groups.entry(key).or_default().push(rid);
-                    }
-                }
-                for rows in groups.values().filter(|r| r.len() >= 2) {
-                    paired.extend(rows.iter().copied());
-                }
-            }
             assert_eq!(audit.paired_rows, paired.len(), "{pfd}");
         }
     }

@@ -584,6 +584,13 @@ fn validate_groups(
         }
         for tableau in tableaux {
             for group in tableau {
+                if group.key.len() != pfd.lhs().len() {
+                    return Err(invalid(format!(
+                        "group key has {} parts for an LHS of {} attributes",
+                        group.key.len(),
+                        pfd.lhs().len()
+                    )));
+                }
                 if group.rows.universe() != rel.num_rows() {
                     return Err(invalid(
                         "group universe does not match row count".to_string(),
@@ -1124,6 +1131,15 @@ mod tests {
         let bytes = save_to_bytes(&engine);
         let loaded = load_from_bytes(&bytes).unwrap();
         assert_engines_equal(&engine, &loaded);
+    }
+
+    #[test]
+    fn group_key_arity_must_match_the_lhs() {
+        let engine = sample_engine();
+        let mut groups = engine.export_groups();
+        groups[0][0][0].key.push("extra".into());
+        let err = validate_groups(engine.relation(), engine.pfds(), &groups).unwrap_err();
+        assert!(err.to_string().contains("group key has 2 parts"), "{err}");
     }
 
     #[test]

@@ -50,6 +50,9 @@ struct CompiledSegments {
     q_fixed: Option<usize>,
     /// Char length of `post` when fixed-length.
     post_fixed: Option<usize>,
+    /// The constant `Q` of a cell that is not constant as a whole (e.g.
+    /// `[900]\D{2}`, `\LU\LL+\ [011]`): every matching value contains it.
+    q_literal: Option<String>,
 }
 
 impl PartialEq for ConstrainedPattern {
@@ -140,11 +143,12 @@ impl ConstrainedPattern {
                 q: Nfa::compile(&self.q),
                 post: Nfa::compile(&self.post),
                 full: Nfa::compile(&self.full_pattern()),
-                full_const,
                 pre_empty: self.pre.is_empty(),
                 post_empty: self.post.is_empty(),
                 q_fixed: fixed_len(&self.q),
                 post_fixed: fixed_len(&self.post),
+                q_literal: full_const.is_none().then(|| self.q.as_constant()).flatten(),
+                full_const,
             }
         })
     }
@@ -195,6 +199,21 @@ impl ConstrainedPattern {
         if let Some((value, pre_len, q_len)) = &segs.full_const {
             return crate::simd::eq_bytes(s.as_bytes(), value.as_bytes())
                 .then(|| &s[*pre_len..*pre_len + *q_len]);
+        }
+        // A constant Q occurs literally in every match: at the start when
+        // pre = ε, at the end when post = ε. Checking that first rejects
+        // most values of a constant tableau row without running an NFA.
+        if let Some(q) = &segs.q_literal {
+            let found = if segs.pre_empty {
+                s.starts_with(q.as_str())
+            } else if segs.post_empty {
+                s.ends_with(q.as_str())
+            } else {
+                s.contains(q.as_str())
+            };
+            if !found {
+                return None;
+            }
         }
         // Fixed-length Q and post with an empty pre (the dominant discovered
         // shape, e.g. `[\D{3}]\D{2}`): the decomposition is forced, so run

@@ -162,6 +162,41 @@ proptest! {
     }
 
     #[test]
+    fn constant_q_extraction_matches_decomposition_search(
+        head in prop_oneof![Just(String::new()), data_string()],
+        tail in prop_oneof![Just(String::new()), data_string()],
+        plant in any::<bool>(),
+    ) {
+        // A constant Q under every pre/post shape (including the ε cases
+        // the literal prefilter specializes on), against a brute-force
+        // search for the lazy-prefix decomposition.
+        const SEGMENTS: [&str; 6] = ["", r"\A*", r"\D*", r"\LL+", r"\A{2}", r"\D"];
+        const CONSTANTS: [&str; 4] = ["1", "ab", "a1", "-"];
+        for pre in SEGMENTS {
+            for q in CONSTANTS {
+                for post in SEGMENTS {
+                    let cp = ConstrainedPattern::parse(&format!("{pre}[{q}]{post}")).unwrap();
+                    let s = if plant { format!("{head}{q}{tail}") } else { format!("{head}{tail}") };
+                    let pre_nfa = Nfa::compile(cp.prefix());
+                    let post_nfa = Nfa::compile(cp.suffix());
+                    let expected = s
+                        .char_indices()
+                        .map(|(i, _)| i)
+                        .chain(std::iter::once(s.len()))
+                        .find(|&i| {
+                            pre_nfa.matches(&s[..i])
+                                && s[i..].starts_with(q)
+                                && post_nfa.matches(&s[i + q.len()..])
+                        })
+                        .map(|i| &s[i..i + q.len()]);
+                    prop_assert_eq!(cp.extract(&s), expected, "{} on {:?}", cp, s);
+                    prop_assert_eq!(cp.matches(&s), expected.is_some(), "{} on {:?}", cp, s);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn restriction_implies_equivalence_transfer(
         prefix in data_string(),
         s1 in data_string(),

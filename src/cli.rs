@@ -410,9 +410,12 @@ fn load_rules(path: &str, rel: &Relation) -> Result<Vec<Pfd>, CliError> {
     Ok(parse_rules(&text, rel.schema())?)
 }
 
-/// Rebuild the engine from its original inputs — the last rung of the
-/// recovery ladder, and the whole ladder when no `--snapshot` is in play.
-fn cold_build(data: &str, rules: Option<&str>, command: &str) -> Result<DeltaEngine, CliError> {
+/// Load the relation and rules from their original files.
+fn load_inputs(
+    data: &str,
+    rules: Option<&str>,
+    command: &str,
+) -> Result<(Relation, Vec<Pfd>), CliError> {
     let rules = rules.ok_or_else(|| {
         CliError::Usage(format!(
             "{command} needs --rules (or an existing --snapshot)"
@@ -420,6 +423,13 @@ fn cold_build(data: &str, rules: Option<&str>, command: &str) -> Result<DeltaEng
     })?;
     let rel = load_relation(data)?;
     let pfds = load_rules(rules, &rel)?;
+    Ok((rel, pfds))
+}
+
+/// Rebuild the engine from its original inputs — the last rung of the
+/// recovery ladder.
+fn cold_build(data: &str, rules: Option<&str>, command: &str) -> Result<DeltaEngine, CliError> {
+    let (rel, pfds) = load_inputs(data, rules, command)?;
     Ok(DeltaEngine::new(rel, pfds))
 }
 
@@ -431,13 +441,10 @@ fn cold_build(data: &str, rules: Option<&str>, command: &str) -> Result<DeltaEng
 fn obtain_engine(
     data: &str,
     rules: Option<&str>,
-    snapshot: Option<&str>,
+    path: &str,
     recover: RecoveryPolicy,
     command: &str,
 ) -> Result<DeltaEngine, CliError> {
-    let Some(path) = snapshot else {
-        return cold_build(data, rules, command);
-    };
     let io = StdIo;
     let store = SnapshotStore::new(&io, path);
     let recovered = store.recover(recover, || cold_build(data, rules, command))?;
@@ -640,14 +647,20 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             snapshot,
             recover,
         } => {
-            let engine = obtain_engine(
-                &data,
-                rules.as_deref(),
-                snapshot.as_deref(),
-                recover,
-                "check",
-            )?;
-            let (rel, pfds) = (engine.relation(), engine.pfds());
+            // Without a snapshot the rules are checked once against the
+            // CSV; only the snapshot path needs the serving engine.
+            let inputs;
+            let engine;
+            let (rel, pfds): (&Relation, &[Pfd]) = match snapshot.as_deref() {
+                None => {
+                    inputs = load_inputs(&data, rules.as_deref(), "check")?;
+                    (&inputs.0, &inputs.1)
+                }
+                Some(path) => {
+                    engine = obtain_engine(&data, rules.as_deref(), path, recover, "check")?;
+                    (engine.relation(), engine.pfds())
+                }
+            };
             let report = detect_errors(rel, pfds);
             if json {
                 writeln!(out, "{}", check_report_json(&report, rel))?;
