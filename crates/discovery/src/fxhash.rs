@@ -1,12 +1,12 @@
 //! Minimal multiplicative hasher for the discovery hot path.
 //!
-//! Index construction hashes every fragment occurrence and every row-set
-//! group; the default `RandomState` (SipHash-1-3) costs more than the rest
-//! of the probe for the short keys involved. This is the well-known
-//! rotate–xor–multiply construction (as used by rustc): not DoS-resistant,
-//! which is fine for interning a relation's own fragments, and 3–5× faster
-//! on sub-16-byte keys. Vendored locally because the workspace builds
-//! offline with no registry route.
+//! Index construction hashes every fragment of every distinct value and
+//! every pruning group; the default `RandomState` (SipHash-1-3) costs more
+//! than the rest of the probe for the short keys involved. This is the
+//! well-known rotate–xor–multiply construction (as used by rustc): not
+//! DoS-resistant, which is fine for interning a relation's own fragments,
+//! and 3–5× faster on sub-16-byte keys. Vendored locally because the
+//! workspace builds offline with no registry route.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -8,12 +8,33 @@
 //! keeping the most specific — e.g. `('Egy', 0)` collapses into
 //! `('Egypt', 0)` in the paper's Example 8.
 //!
+//! ## Building over the vocabulary
+//!
+//! `Relation` stores each column as a vocabulary of distinct strings plus
+//! one `u32` per row, and [`build_index`] works on that vocabulary rather
+//! than on the rows:
+//!
+//! 1. Each **live** value (one some cell references; overwrites can leave
+//!    dead vocabulary entries behind) gets a value id in first-row order
+//!    and is extracted once. [`ExtractStats`] are weighted by the value's
+//!    row count, so they still count cells.
+//! 2. Every `(fragment, pos)` **slot** records the ids of the values it
+//!    occurs in. Live values partition the rows: a slot's row set is the
+//!    disjoint union of its values' rows, so two slots have equal row sets
+//!    exactly when their value lists are equal. §4.4 pruning therefore
+//!    groups slots by value list, before any row list exists.
+//! 3. Only the survivors are ranked and sorted, and one pass over the
+//!    cells fills their row sets.
+//! 4. The entries resolve against a fresh [`FragmentDict`] holding the
+//!    surviving fragments only, so neither the `.pfdi` file nor its warm
+//!    load carries pruned fragments.
+//!
 //! ## Representation
 //!
 //! Fragments are **interned** into a per-attribute [`FragmentDict`]: one
 //! arena-backed copy per distinct fragment, a [`Symbol`] (`u32`) everywhere
-//! else. Construction therefore performs zero heap allocations per fragment
-//! *occurrence* — the map key is a packed `(symbol, position)` `u64`, and
+//! else. Extraction performs no heap allocation per fragment occurrence:
+//! a slot is found through its symbol's chain of known positions, and
 //! strings are only resolved again at tableau-assembly time. Row sets are
 //! [`PostingList`]s (sorted runs or bitsets, see [`crate::postings`]), and
 //! the row → entries reverse index is a flat CSR layout instead of one
@@ -232,6 +253,10 @@ impl Default for IndexOptions {
 }
 
 /// Build the inverted index for one attribute.
+///
+/// Works on the column's vocabulary rather than its rows (see the module
+/// docs): each live value is extracted once, §4.4 pruning runs on the
+/// slots' value lists, and only the surviving entries get row sets.
 pub fn build_index(
     rel: &Relation,
     attr: AttrId,
@@ -239,88 +264,220 @@ pub fn build_index(
     options: &IndexOptions,
 ) -> AttrIndex {
     let num_rows = rel.num_rows();
+    let (vocab, cells) = rel.column_parts(attr);
+
+    // Live values in first-row order with their row counts. Vocabulary
+    // entries no cell references (left by overwrites) never get an id.
+    let mut value_of = vec![NONE; vocab.len()];
+    let mut values: Vec<&str> = Vec::new();
+    let mut counts: Vec<u32> = Vec::new();
+    for &c in cells {
+        let vid = &mut value_of[c as usize];
+        if *vid == NONE {
+            *vid = values.len() as u32;
+            values.push(&vocab[c as usize]);
+            counts.push(0);
+        }
+        counts[*vid as usize] += 1;
+    }
+
+    // Extract each value once. A slot is one `(fragment, pos)` pair; the
+    // slots of one symbol form a chain through `slot_next`, so finding a
+    // slot is the intern's hash plus a walk over that fragment's known
+    // positions. `occurrences` lists `(slot, value)` pairs in value order,
+    // each pair once.
     let mut dict = FragmentDict::default();
     // One extractor per index build: the suffix automaton and its buffers
-    // are reused across every cell of the attribute.
+    // are reused across every value of the attribute.
     let mut extractor = FragmentExtractor::new(options.extract);
-    // Occurrence table addressed by symbol: one hash (the intern) per
-    // fragment occurrence, then a short linear scan over that fragment's
-    // known positions. No per-occurrence string allocation and no second
-    // hash lookup — the layouts the old `(String, pos)`-keyed map paid for
-    // on every fragment of every row.
-    let mut per_sym: Vec<Vec<(u32, Vec<u32>)>> = Vec::new();
-    for (rid, _) in rel.iter_rows() {
-        let value = rel.cell(rid, attr);
-        let rid = rid as u32;
+    let mut extract_stats = ExtractStats::default();
+    let mut sym_head: Vec<u32> = Vec::new();
+    let mut slot_next: Vec<u32> = Vec::new();
+    let mut slot_key: Vec<(Symbol, u32)> = Vec::new();
+    let mut slot_last: Vec<u32> = Vec::new();
+    let mut occurrences: Vec<(u32, u32)> = Vec::new();
+    for (vid, value) in values.iter().enumerate() {
+        let vid = vid as u32;
         let mut add = |frag: &str, pos: u32| {
             let sym = dict.intern(frag);
-            if sym.index() == per_sym.len() {
-                per_sym.push(Vec::new());
+            if sym.index() == sym_head.len() {
+                sym_head.push(NONE);
             }
-            let slots = &mut per_sym[sym.index()];
-            match slots.iter_mut().find(|(p, _)| *p == pos) {
-                Some((_, rows)) => {
-                    if rows.last() != Some(&rid) {
-                        rows.push(rid);
-                    }
-                }
-                None => slots.push((pos, vec![rid])),
+            let mut slot = sym_head[sym.index()];
+            while slot != NONE && slot_key[slot as usize].1 != pos {
+                slot = slot_next[slot as usize];
+            }
+            if slot == NONE {
+                slot = slot_key.len() as u32;
+                slot_key.push((sym, pos));
+                slot_next.push(sym_head[sym.index()]);
+                slot_last.push(NONE);
+                sym_head[sym.index()] = slot;
+            }
+            if slot_last[slot as usize] != vid {
+                slot_last[slot as usize] = vid;
+                occurrences.push((slot, vid));
             }
         };
         match extraction {
             Extraction::Tokenize => tokens_for_each(value, &mut add),
             Extraction::NGrams => extractor.for_each(value, &mut add),
         }
+        // Weighted by the value's row count, the counters keep their
+        // per-cell meaning.
+        let stats = extractor.take_stats();
+        let n = counts[vid as usize] as usize;
+        extract_stats.cells_full_enum += stats.cells_full_enum * n;
+        extract_stats.cells_automaton += stats.cells_automaton * n;
+        extract_stats.repeat_fragments += stats.repeat_fragments * n;
     }
-    let extract_stats = extractor.take_stats();
+    let (list_offsets, list_values) = group_by_key(slot_key.len(), &occurrences);
+    let value_list =
+        |slot: usize| &list_values[list_offsets[slot] as usize..list_offsets[slot + 1] as usize];
 
-    let mut entries: Vec<IndexEntry> = per_sym
-        .into_iter()
-        .enumerate()
-        .flat_map(|(sym, slots)| {
-            let pattern = Symbol(sym as u32);
-            let chars = dict.resolve(pattern).chars().count() as u32;
-            slots.into_iter().map(move |(pos, rows)| IndexEntry {
-                pattern,
-                chars,
-                pos,
-                rows: PostingList::from_sorted(rows, num_rows),
-            })
+    let mut live = vec![true; slot_key.len()];
+    if options.substring_pruning {
+        prune_substrings(&slot_key, value_list, &dict, &mut live);
+    }
+
+    // Rank and sort the survivors only. Deterministic order: by support
+    // desc, then pattern, then pos; the string tiebreak goes through a
+    // lexicographic rank per symbol, so the entry sort compares integers.
+    let mut survivors: Vec<(u32, u32)> = (0..slot_key.len())
+        .filter(|&s| live[s])
+        .map(|s| {
+            let support = value_list(s).iter().map(|&v| counts[v as usize]).sum();
+            (support, s as u32)
         })
         .collect();
-    // Deterministic order: by support desc, then pattern, then pos. The
-    // string tiebreak goes through a precomputed lexicographic rank per
-    // symbol — O(S log S) string compares once instead of O(E log E) in
-    // the entry sort itself.
-    let mut by_string: Vec<u32> = (0..dict.len() as u32).collect();
-    by_string.sort_unstable_by(|a, b| dict.span_str(*a).cmp(dict.span_str(*b)));
-    let mut rank = vec![0u32; dict.len()];
-    for (r, &sym) in by_string.iter().enumerate() {
-        rank[sym as usize] = r as u32;
+    let mut syms: Vec<Symbol> = survivors
+        .iter()
+        .map(|&(_, s)| slot_key[s as usize].0)
+        .collect();
+    syms.sort_unstable_by(|a, b| dict.resolve(*a).cmp(dict.resolve(*b)));
+    syms.dedup();
+    let mut rank = vec![NONE; dict.len()];
+    for (r, sym) in syms.iter().enumerate() {
+        rank[sym.index()] = r as u32;
     }
-    entries.sort_unstable_by(|a, b| {
-        b.rows
-            .len()
-            .cmp(&a.rows.len())
-            .then_with(|| rank[a.pattern.index()].cmp(&rank[b.pattern.index()]))
-            .then_with(|| a.pos.cmp(&b.pos))
+    survivors.sort_unstable_by_key(|&(support, s)| {
+        let (sym, pos) = slot_key[s as usize];
+        (std::cmp::Reverse(support), rank[sym.index()], pos)
     });
 
-    if options.substring_pruning {
-        entries = prune_substrings(entries, &dict);
+    // A fresh dictionary holding the surviving fragments only, in entry
+    // order; each value lists the entries it belongs to.
+    let mut live_dict = FragmentDict::default();
+    let mut remap = vec![NONE; dict.len()];
+    let mut value_entries: Vec<(u32, u32)> = Vec::new();
+    let mut keys: Vec<(Symbol, u32, u32)> = Vec::with_capacity(survivors.len());
+    for (e, &(support, slot)) in survivors.iter().enumerate() {
+        let (sym, pos) = slot_key[slot as usize];
+        let new_sym = &mut remap[sym.index()];
+        if *new_sym == NONE {
+            *new_sym = live_dict.intern(dict.resolve(sym)).0;
+        }
+        keys.push((Symbol(*new_sym), pos, support));
+        value_entries.extend(value_list(slot as usize).iter().map(|&v| (v, e as u32)));
     }
+    let (entry_offsets, entry_ids) = group_by_key(values.len(), &value_entries);
 
-    let (row_offsets, row_data) = build_reverse_index(&entries, num_rows);
-    let max_support = entries.iter().map(|e| e.support()).max().unwrap_or(0);
-    AttrIndex {
+    // One pass over the cells fills every surviving posting list.
+    let mut rows: Vec<Vec<u32>> = keys
+        .iter()
+        .map(|&(_, _, support)| Vec::with_capacity(support as usize))
+        .collect();
+    for (rid, &c) in cells.iter().enumerate() {
+        let vid = value_of[c as usize] as usize;
+        for &e in &entry_ids[entry_offsets[vid] as usize..entry_offsets[vid + 1] as usize] {
+            rows[e as usize].push(rid as u32);
+        }
+    }
+    let entries: Vec<IndexEntry> = keys
+        .into_iter()
+        .zip(rows)
+        .map(|((pattern, pos, _), rows)| IndexEntry {
+            pattern,
+            chars: live_dict.resolve(pattern).chars().count() as u32,
+            pos,
+            rows: PostingList::from_sorted(rows, num_rows),
+        })
+        .collect();
+    AttrIndex::from_parts(
         attr,
         extraction,
-        dict,
+        live_dict,
         entries,
-        row_offsets,
-        row_data,
-        max_support,
+        num_rows,
         extract_stats,
+    )
+}
+
+/// "No id" sentinel of the build's dense `u32` tables.
+const NONE: u32 = u32::MAX;
+
+/// Counting sort of `(key, item)` pairs into CSR form: the items of key
+/// `k` are `items[offsets[k]..offsets[k + 1]]`, in input order.
+fn group_by_key(num_keys: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; num_keys + 1];
+    for &(k, _) in pairs {
+        offsets[k as usize + 1] += 1;
+    }
+    for k in 0..num_keys {
+        offsets[k + 1] += offsets[k];
+    }
+    let mut cursor = offsets.clone();
+    let mut items = vec![0u32; pairs.len()];
+    for &(k, item) in pairs {
+        let at = &mut cursor[k as usize];
+        items[*at as usize] = item;
+        *at += 1;
+    }
+    (offsets, items)
+}
+
+/// §4.4 substring pruning: within groups of slots sharing the same row
+/// set, keep only slots whose fragment is not a substring of another kept
+/// slot's ("we pick the most specific one"). Live values partition the
+/// rows, so equal value lists are exactly equal row sets.
+fn prune_substrings<'a>(
+    slot_key: &[(Symbol, u32)],
+    value_list: impl Fn(usize) -> &'a [u32],
+    dict: &FragmentDict,
+    live: &mut [bool],
+) {
+    let mut group_of: FxHashMap<&[u32], u32> = FxHashMap::default();
+    let pairs: Vec<(u32, u32)> = (0..slot_key.len())
+        .map(|s| {
+            let next = group_of.len() as u32;
+            (*group_of.entry(value_list(s)).or_insert(next), s as u32)
+        })
+        .collect();
+    let (offsets, mut members) = group_by_key(group_of.len(), &pairs);
+    for g in 0..group_of.len() {
+        let group = &mut members[offsets[g] as usize..offsets[g + 1] as usize];
+        if group.len() < 2 {
+            continue;
+        }
+        // Longest first; drop members that are substrings of a kept longer
+        // member of the same group.
+        group.sort_by_key(|&s| std::cmp::Reverse(dict.byte_len(slot_key[s as usize].0)));
+        for (a_rank, &a) in group.iter().enumerate() {
+            if !live[a as usize] {
+                continue;
+            }
+            let a_str = dict.resolve(slot_key[a as usize].0);
+            for &b in &group[a_rank + 1..] {
+                if live[b as usize] {
+                    let b_str = dict.resolve(slot_key[b as usize].0);
+                    if b_str.len() < a_str.len()
+                        && pfd_pattern::simd::contains_bytes(a_str.as_bytes(), b_str.as_bytes())
+                    {
+                        live[b as usize] = false;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -345,46 +502,6 @@ fn build_reverse_index(entries: &[IndexEntry], num_rows: usize) -> (Vec<u32>, Ve
         }
     }
     (row_offsets, row_data)
-}
-
-/// §4.4 substring pruning: within groups of entries sharing the same row
-/// set, keep only entries that are not substrings of another kept entry
-/// ("we pick the most specific one").
-fn prune_substrings(entries: Vec<IndexEntry>, dict: &FragmentDict) -> Vec<IndexEntry> {
-    // Group by row set (canonical hash/equality over elements).
-    let mut groups: FxHashMap<&PostingList, Vec<usize>> = FxHashMap::default();
-    for (i, e) in entries.iter().enumerate() {
-        groups.entry(&e.rows).or_default().push(i);
-    }
-    let mut keep = vec![true; entries.len()];
-    for group in groups.values() {
-        // Longest first; drop members that are substrings of a kept longer
-        // member of the same group.
-        let mut by_len: Vec<usize> = group.clone();
-        by_len.sort_by_key(|&i| std::cmp::Reverse(dict.byte_len(entries[i].pattern)));
-        for (a_rank, &a) in by_len.iter().enumerate() {
-            if !keep[a] {
-                continue;
-            }
-            let a_str = dict.resolve(entries[a].pattern);
-            for &b in &by_len[a_rank + 1..] {
-                if keep[b] {
-                    let b_str = dict.resolve(entries[b].pattern);
-                    if b_str.len() < a_str.len()
-                        && pfd_pattern::simd::contains_bytes(a_str.as_bytes(), b_str.as_bytes())
-                    {
-                        keep[b] = false;
-                    }
-                }
-            }
-        }
-    }
-    entries
-        .into_iter()
-        .zip(keep)
-        .filter(|(_, k)| *k)
-        .map(|(e, _)| e)
-        .collect()
 }
 
 /// Reusable buffers for [`frequent_within`]-style counting.

@@ -9,17 +9,20 @@
 //! configuration). A [`FailpointIo`] fuel sweep then crashes the
 //! save → discover → re-save sequence at every sampled write point and
 //! checks that the surviving file state still yields the reference output
-//! and heals into a warm-loadable index.
+//! and heals into a warm-loadable index. Dictionaries carry only the
+//! fragments some entry references, and an index written with pruned
+//! fragments still in its dictionaries still warm-loads.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
-use pfd_discovery::warm::INDEX_FORMAT_VERSION;
+use pfd_discovery::warm::{index_to_bytes, INDEX_FORMAT_VERSION};
 use pfd_discovery::{
-    discover, discover_persistent, load_index, DiscoveryConfig, DiscoveryResult, IndexFallback,
-    IndexKey,
+    discover, discover_cold, discover_persistent, load_index, AttrIndex, DiscoveryConfig,
+    DiscoveryResult, FragmentDict, IndexEntry, IndexFallback, IndexKey, Symbol,
 };
 use pfd_relation::binary::{put_varint, SectionWriter};
-use pfd_relation::{FailpointIo, Io, MemIo, Relation, Schema};
+use pfd_relation::{AttrId, FailpointIo, Io, MemIo, Relation, Schema};
 
 const INDEX: &str = "/store/geo.pfdi";
 
@@ -354,4 +357,99 @@ fn crash_sweep_over_save_discover_resave_never_poisons_results() {
         );
         assert_eq!(deps(&r4.result), reference, "fuel {fuel}: warm run");
     }
+}
+
+/// Every dictionary symbol of every index is the pattern of some entry.
+fn assert_dicts_hold_only_live_fragments(indexes: &BTreeMap<AttrId, AttrIndex>, when: &str) {
+    for (attr, idx) in indexes {
+        let mut referenced = vec![false; idx.dict.len()];
+        for e in &idx.entries {
+            referenced[e.pattern.index()] = true;
+        }
+        let unreferenced: Vec<&str> = (0..idx.dict.len())
+            .filter(|&s| !referenced[s])
+            .map(|s| idx.dict.resolve(Symbol::from_index(s)))
+            .collect();
+        assert!(
+            unreferenced.is_empty(),
+            "{when}: {attr:?} keeps pruned fragments {unreferenced:?}"
+        );
+    }
+}
+
+#[test]
+fn dictionaries_hold_only_fragments_entries_reference() {
+    let rel = geo_relation();
+    let cfg = config();
+    let built = discover_cold(&rel, &cfg).indexes;
+    assert!(built.values().any(|idx| idx.dict.len() > 1));
+    assert_dicts_hold_only_live_fragments(&built, "after a build");
+
+    let key = IndexKey::compute(&rel, &cfg, 0, 0);
+    let io = MemIo::new();
+    io.write(Path::new(INDEX), &index_to_bytes(&key, &built))
+        .unwrap();
+    let loaded = load_index(&io, Path::new(INDEX), &key).unwrap().indexes;
+    assert_dicts_hold_only_live_fragments(&loaded, "after a warm round trip");
+    for (attr, idx) in &built {
+        assert_eq!(loaded[attr].dict.len(), idx.dict.len());
+    }
+}
+
+/// Indexes written with pruned fragments left in each dictionary, the
+/// layout of the row-level build: an unreferenced fragment before every
+/// live one, so live symbols sit at other indexes than a fresh build
+/// gives them.
+fn with_dead_fragments(indexes: &BTreeMap<AttrId, AttrIndex>) -> BTreeMap<AttrId, AttrIndex> {
+    indexes
+        .iter()
+        .map(|(attr, idx)| {
+            let mut dict = FragmentDict::default();
+            let remap: Vec<Symbol> = (0..idx.dict.len())
+                .map(|s| {
+                    let live = idx.dict.resolve(Symbol::from_index(s));
+                    dict.intern(&format!("{live}\u{1}pruned"));
+                    dict.intern(live)
+                })
+                .collect();
+            let entries = idx
+                .entries
+                .iter()
+                .map(|e| IndexEntry {
+                    pattern: remap[e.pattern.index()],
+                    ..e.clone()
+                })
+                .collect();
+            let copy = AttrIndex::from_parts(
+                *attr,
+                idx.extraction,
+                dict,
+                entries,
+                idx.num_rows(),
+                idx.extract_stats,
+            );
+            (*attr, copy)
+        })
+        .collect()
+}
+
+#[test]
+fn index_with_unreferenced_fragments_still_warm_loads() {
+    let rel = geo_relation();
+    let cfg = config();
+    let reference = deps(&discover(&rel, &cfg));
+    let key = IndexKey::compute(&rel, &cfg, 0, 0);
+    let padded = with_dead_fragments(&discover_cold(&rel, &cfg).indexes);
+
+    let io = MemIo::new();
+    io.write(Path::new(INDEX), &index_to_bytes(&key, &padded))
+        .unwrap();
+    let run = discover_persistent(&io, Path::new(INDEX), &rel, &cfg, 0, 0);
+    assert!(
+        run.result.stats.index_loaded,
+        "a dictionary with extra fragments is still a valid index: {:?}",
+        run.fallback
+    );
+    assert_eq!(run.fallback, None);
+    assert_eq!(deps(&run.result), reference);
 }

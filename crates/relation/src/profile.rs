@@ -122,6 +122,14 @@ pub fn profile_column(rel: &Relation, attr: AttrId) -> ColumnProfile {
         .to_string();
     let rows = rel.num_rows();
 
+    // Per-value work runs once per live vocabulary entry, weighted by the
+    // number of rows holding it; dead entries (count 0) are skipped.
+    let (vocab, cells) = rel.column_parts(attr);
+    let mut counts = vec![0usize; vocab.len()];
+    for &c in cells {
+        counts[c as usize] += 1;
+    }
+
     let mut non_empty = 0usize;
     let mut total_len = 0usize;
     let mut max_len = 0usize;
@@ -129,27 +137,29 @@ pub fn profile_column(rel: &Relation, attr: AttrId) -> ColumnProfile {
     let mut digits = 0usize;
     let mut with_sep = 0usize;
     let mut digit_lengths: BTreeSet<usize> = BTreeSet::new();
-    let mut distinct: BTreeSet<&str> = BTreeSet::new();
+    // Interning keeps vocabulary entries distinct, so each live non-empty
+    // entry is one distinct value.
+    let mut distinct_count = 0usize;
 
-    for v in rel.column(attr) {
-        if v.is_empty() {
+    for (v, &n) in vocab.iter().zip(&counts) {
+        if n == 0 || v.is_empty() {
             continue;
         }
-        non_empty += 1;
+        non_empty += n;
+        distinct_count += 1;
         let len = v.chars().count();
-        total_len += len;
+        total_len += len * n;
         max_len = max_len.max(len);
         if is_numeric(v) {
-            numeric += 1;
+            numeric += n;
         }
         if is_pure_digits(v) {
-            digits += 1;
+            digits += n;
             digit_lengths.insert(len);
         }
         if has_separator(v) {
-            with_sep += 1;
+            with_sep += n;
         }
-        distinct.insert(v);
     }
 
     let frac = |n: usize| {
@@ -162,7 +172,6 @@ pub fn profile_column(rel: &Relation, attr: AttrId) -> ColumnProfile {
     let numeric_fraction = frac(numeric);
     let digit_fraction = frac(digits);
     let separator_fraction = frac(with_sep);
-    let distinct_count = distinct.len();
 
     let kind = if non_empty == 0 {
         ColumnKind::Text
@@ -214,6 +223,7 @@ pub fn profile_relation(rel: &Relation) -> Vec<ColumnProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Schema;
 
     fn rel(cols: &[(&str, Vec<&str>)]) -> Relation {
         let names: Vec<&str> = cols.iter().map(|(n, _)| *n).collect();
@@ -296,6 +306,104 @@ mod tests {
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].name, "zip");
         assert_eq!(ps[1].name, "city");
+    }
+
+    /// The per-row computation `profile_column` replaced: every cell pays
+    /// for its own char count, shape tests and distinct-set insert.
+    fn per_row_profile(rel: &Relation, attr: AttrId) -> ColumnProfile {
+        let (mut non_empty, mut total_len, mut max_len) = (0usize, 0usize, 0usize);
+        let (mut numeric, mut digits, mut with_sep) = (0usize, 0usize, 0usize);
+        let mut digit_lengths: BTreeSet<usize> = BTreeSet::new();
+        let mut distinct: BTreeSet<&str> = BTreeSet::new();
+        for v in rel.column(attr) {
+            if v.is_empty() {
+                continue;
+            }
+            non_empty += 1;
+            let len = v.chars().count();
+            total_len += len;
+            max_len = max_len.max(len);
+            numeric += usize::from(is_numeric(v));
+            if is_pure_digits(v) {
+                digits += 1;
+                digit_lengths.insert(len);
+            }
+            with_sep += usize::from(has_separator(v));
+            distinct.insert(v);
+        }
+        let frac = |n: usize| {
+            if non_empty == 0 {
+                0.0
+            } else {
+                n as f64 / non_empty as f64
+            }
+        };
+        // The derived decisions come from the same rules; only the counts
+        // are recomputed here.
+        let fast = profile_column(rel, attr);
+        ColumnProfile {
+            non_empty,
+            distinct: distinct.len(),
+            avg_len: if non_empty == 0 {
+                0.0
+            } else {
+                total_len as f64 / non_empty as f64
+            },
+            max_len,
+            numeric_fraction: frac(numeric),
+            digit_fraction: frac(digits),
+            digit_length_variety: digit_lengths.len(),
+            separator_fraction: frac(with_sep),
+            ..fast
+        }
+    }
+
+    #[test]
+    fn vocabulary_profile_matches_per_row_profile() {
+        let values = [
+            "90001",
+            "90001",
+            "",
+            "606036263",
+            "-3.5",
+            "Los Angeles",
+            "O'Brien",
+            "é語-1",
+            "",
+            "42",
+            "90001",
+            "x",
+        ];
+        let rows: Vec<Vec<&str>> = values.iter().map(|v| vec![*v, *v]).collect();
+        let mut r = Relation::from_rows("T", &["a", "b"], rows).unwrap();
+        // Overwrites strand dead vocabulary entries ("x", "-3.5") and add
+        // a value first seen late.
+        r.set_cell(11, AttrId(0), "90001".into()).unwrap();
+        r.set_cell(4, AttrId(0), "".into()).unwrap();
+        r.set_cell(0, AttrId(1), "new value".into()).unwrap();
+        // An unsorted vocabulary with a dead entry, referenced out of
+        // vocabulary order.
+        let built = Relation::from_columns(
+            Schema::new("U", ["c"]).unwrap(),
+            vec![(
+                vec![
+                    "zz".into(),
+                    "".into(),
+                    "12".into(),
+                    "unused".into(),
+                    "a b".into(),
+                ],
+                vec![4, 2, 2, 1, 0, 2, 4],
+            )],
+            0,
+        )
+        .unwrap();
+        for (rel, attr) in [(&r, AttrId(0)), (&r, AttrId(1)), (&built, AttrId(0))] {
+            assert_eq!(
+                format!("{:?}", profile_column(rel, attr)),
+                format!("{:?}", per_row_profile(rel, attr))
+            );
+        }
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! cargo run --release --example dump_dependencies -- --snapshot idx/ > warm.txt
 //! diff cold.txt save.txt && diff cold.txt warm.txt
 //! ```
+//!
+//! The expected output is committed as `tests/golden/dump_dependencies.txt`;
+//! CI diffs the cold, save and warm runs against it.
 
 use pfd::core::display_with_schema;
 use pfd::datagen::{standard_suite, Scale};
